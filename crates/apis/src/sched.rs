@@ -27,9 +27,11 @@
 //! Pure steps (non-barriers) are cached in a bounded LRU keyed by an
 //! FNV-1a fingerprint of `(api, params, seed, graph-fingerprint, input
 //! fingerprint[, database fingerprint for similarity APIs])`. The graph
-//! fingerprint hashes the binary encoding of the session graph and is
-//! recomputed only after a mutation barrier; steps whose inputs cannot be
-//! fingerprinted are executed uncached. Only `Ok` results are stored.
+//! fingerprint is [`Graph::fingerprint`] — the slot-exact content hash the
+//! durable store seals commits with, so a graph with tombstones and its
+//! compaction never share a key — and is recomputed only after a mutation
+//! barrier; steps whose inputs cannot be fingerprinted are executed
+//! uncached. Only `Ok` results are stored.
 //!
 //! ## Coalescing
 //!
@@ -53,7 +55,7 @@ use crate::executor::KernelState;
 use crate::supervisor::{self, FailurePolicy, FaultPlan, StepFailure, SupervisorConfig};
 use crate::value::Value;
 use chatgraph_graph::kernels::{ChunkStrategy, KernelPolicy, DEFAULT_KERNEL_CHUNK};
-use chatgraph_graph::{binary, Graph};
+use chatgraph_graph::Graph;
 use chatgraph_support::cancel::CancelToken;
 use chatgraph_support::hash::Fnv64;
 use chatgraph_support::lru::Lru;
@@ -604,8 +606,8 @@ impl Scheduler {
         let mut prev = Value::Unit;
         // The graph fingerprint is stable between mutation barriers; cache
         // it per epoch. `None` = not yet computed for the current graph.
-        let mut graph_fp: Option<Option<u64>> = None;
-        let mut db_fp: Option<Option<u64>> = None;
+        let mut graph_fp: Option<u64> = None;
+        let mut db_fp: Option<u64> = None;
         for segment in plan.segments() {
             match segment {
                 Segment::Barrier(i) => {
@@ -725,14 +727,14 @@ impl Scheduler {
                     drain_kernel_events(ctx, monitor);
                 }
                 Segment::Parallel(chains) => {
-                    let gfp = *graph_fp.get_or_insert_with(|| graph_fingerprint(&ctx.graph));
+                    let gfp = *graph_fp.get_or_insert_with(|| ctx.graph.fingerprint());
                     let needs_db = chains.iter().flatten().any(|&j| {
                         registry
                             .descriptor(&chain.steps[j].api)
                             .is_some_and(|d| d.category == ApiCategory::Similarity)
                     });
                     let dfp = if needs_db {
-                        *db_fp.get_or_insert_with(|| database_fingerprint(&ctx.database))
+                        Some(*db_fp.get_or_insert_with(|| database_fingerprint(&ctx.database)))
                     } else {
                         None
                     };
@@ -839,7 +841,7 @@ struct SegmentRun<'a> {
     snapshot: Arc<Graph>,
     database: Arc<Vec<Graph>>,
     seed: u64,
-    graph_fp: Option<u64>,
+    graph_fp: u64,
     db_fp: Option<u64>,
     kernels: KernelState,
 }
@@ -1154,7 +1156,6 @@ impl SegmentRun<'_> {
     /// The memo key for one call, or `None` when any component cannot be
     /// fingerprinted (then the step simply runs uncached).
     fn memo_key(&self, call: &ApiCall, input: &Value) -> Option<u64> {
-        let gfp = self.graph_fp?;
         let ifp = value_fingerprint(input)?;
         let mut h = Fnv64::new();
         h.write_str(&call.api);
@@ -1163,7 +1164,7 @@ impl SegmentRun<'_> {
             h.write_str(v);
         }
         h.write_u64(self.seed);
-        h.write_u64(gfp);
+        h.write_u64(self.graph_fp);
         h.write_u64(ifp);
         if self
             .registry
@@ -1259,22 +1260,19 @@ impl SegmentRun<'_> {
     }
 }
 
-/// FNV-1a fingerprint of a graph via its binary encoding. `None` when the
-/// graph fails to encode (oversized attributes etc.) — memoization is then
-/// skipped rather than risking a wrong key.
+/// The memo's graph key: [`Graph::fingerprint`], the slot-exact content
+/// hash the durable store also seals commits with. Always `Some`.
 pub fn graph_fingerprint(g: &Graph) -> Option<u64> {
-    binary::to_bytes(g)
-        .ok()
-        .map(|bytes| chatgraph_support::hash::fnv1a64(&bytes))
+    Some(g.fingerprint())
 }
 
-fn database_fingerprint(db: &[Graph]) -> Option<u64> {
+fn database_fingerprint(db: &[Graph]) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(db.len() as u64);
     for g in db {
-        h.write_u64(graph_fingerprint(g)?);
+        h.write_u64(g.fingerprint());
     }
-    Some(h.finish())
+    h.finish()
 }
 
 /// FNV-1a fingerprint of a value. Hand-rolled rather than JSON-based so
@@ -1336,7 +1334,7 @@ pub fn value_fingerprint(v: &Value) -> Option<u64> {
         }
         Value::Graph(g) => {
             h.write_str("graph");
-            h.write_u64(graph_fingerprint(g)?);
+            h.write_u64(g.fingerprint());
         }
     }
     Some(h.finish())
@@ -1468,6 +1466,30 @@ mod tests {
             assert_eq!(err, ChainError::Rejected(1, "remove_edges".to_owned()));
             assert_eq!(mon.confirm_log.len(), 1);
         }
+    }
+
+    /// A graph with a removed node and its compaction hold the same live
+    /// structure under different node ids, so a memo shared between them
+    /// must key them apart: the compacted graph's answer equals its solo run.
+    #[test]
+    fn tombstoned_and_compacted_graphs_never_share_memo_entries() {
+        let reg = registry::standard();
+        let mut chain = ApiChain::new();
+        chain.push(ApiCall::new("find_influencers").with_param("k", "3"));
+        let mut tombstoned = social_network(&SocialParams::default(), 1);
+        tombstoned.remove_node(chatgraph_graph::NodeId(0)).unwrap();
+        let (compacted, _) = tombstoned.compact();
+        let run = |sched: &Scheduler, g: &Graph| {
+            let mut ctx = ExecContext::new(g.clone());
+            sched
+                .execute(&reg, &chain, &mut ctx, &mut crate::monitor::SilentMonitor)
+                .unwrap()
+        };
+        let solo = run(&Scheduler::new(1), &compacted);
+        let memo = Arc::new(StepMemo::new(DEFAULT_MEMO_CAPACITY));
+        let shared = Scheduler::new(1).with_shared_memo(memo);
+        run(&shared, &tombstoned);
+        assert_eq!(run(&shared, &compacted), solo, "served the tombstoned graph's answer");
     }
 
     #[test]

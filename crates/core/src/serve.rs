@@ -16,9 +16,9 @@
 //!   tenant's identical sub-chain is indistinguishable from one's own;
 //! * the **CSR cache** — one [`CsrCache`] of immutable graph snapshots,
 //!   keyed by `Arc` pointer identity. Graph replacement and mutation both
-//!   allocate a fresh `Arc` and evict the dead epoch
-//!   ([`ChatSession::graph_epoch`]), so a stale snapshot can never be
-//!   served.
+//!   install a fresh `Arc` and retire the replaced one from every
+//!   per-version cache (see the `session` module docs), so a stale
+//!   snapshot can never be served and a dead version pins no memory.
 //!
 //! ## Fairness and the pool
 //!

@@ -20,16 +20,18 @@
 //! hundreds of cheap per-tenant sessions over it. Each session owns only
 //! its mutable state: scheduler (with memo), graph, database, transcript.
 //!
-//! ## Graph epochs
+//! ## Graph identity
 //!
-//! The session graph lives behind a copy-on-write `Arc<Graph>` and carries
-//! a monotonically increasing *mutation epoch*
-//! ([`ChatSession::graph_epoch`]). Replacing the graph (a new upload in
-//! [`ChatSession::send`] or [`ChatSession::set_graph`]) and mutating it (an
-//! edit chain in [`ChatSession::run_chain`]) both advance the epoch,
-//! allocate a fresh `Arc`, and evict the dead epoch's snapshot from the
-//! CSR cache — mandatory once the cache is shared across sessions, where
-//! an unevicted entry would pin another tenant's memory.
+//! The session graph lives behind a copy-on-write `Arc<Graph>`, and a
+//! graph version is identified two ways, each for one job: the `Arc`
+//! pointer keys the per-version caches (CSR snapshots, statistics
+//! catalogs), and [`chatgraph_graph::Graph::fingerprint`] keys content —
+//! the step memo and the store's commit records. Replacing the graph (a
+//! new upload in [`ChatSession::send`] or [`ChatSession::set_graph`]) and
+//! mutating it (an edit chain in [`ChatSession::run_chain`]) both install
+//! a fresh `Arc` and *retire* the replaced one from both caches in one
+//! step, so no cache — possibly shared across sessions — pins a dead
+//! version's graph.
 
 use crate::config::ChatGraphConfig;
 use crate::dataset::{generate_corpus, CorpusParams};
@@ -222,14 +224,12 @@ pub struct ChatSession {
     /// default; [`ChatSession::use_shared_csr`] swaps in a server-global
     /// one.
     csr_cache: Arc<CsrCache>,
-    /// Statistics catalogs per mutation epoch, shared with executions so
+    /// Statistics catalogs per graph version, shared with executions so
     /// the planner's cost model prices steps from a cached O(n + m) pass.
     catalog_cache: Arc<CatalogCache>,
     /// The graph uploaded most recently (the session graph), shared
-    /// copy-on-write with executions and caches.
+    /// copy-on-write with executions and caches; see the module docs.
     graph: Option<Arc<Graph>>,
-    /// Mutation epoch of the session graph; see the module docs.
-    graph_epoch: u64,
     /// The molecule database for similarity search, shared with executions
     /// without copying.
     pub database: Arc<Vec<Graph>>,
@@ -283,7 +283,7 @@ impl ChatSession {
             .ok_or_else(|| SessionError::Store("store holds no saved model".to_owned()))?;
         let core = SessionCore::from_saved_model(config, &model)?;
         let mut session = ChatSession::from_core(core);
-        session.install_graph(Arc::new(store.graph()));
+        session.replace_graph(Some(Arc::new(store.graph())));
         session.pending_recovery = Some(report);
         session.attach_store(Arc::new(store));
         Ok((session, report))
@@ -300,7 +300,6 @@ impl ChatSession {
             csr_cache: Arc::new(CsrCache::default()),
             catalog_cache: Arc::new(CatalogCache::default()),
             graph: None,
-            graph_epoch: 0,
             database: Arc::new(Vec::new()),
             transcript: Vec::new(),
             store: None,
@@ -348,20 +347,13 @@ impl ChatSession {
         self.graph.as_ref()
     }
 
-    /// The session graph's mutation epoch: advanced on every replacement
-    /// (upload) and every mutating chain. Cache consumers keying state on
-    /// the graph must observe a new epoch as a new graph.
-    pub fn graph_epoch(&self) -> u64 {
-        self.graph_epoch
-    }
-
-    /// Replaces the session graph, advancing the mutation epoch and
-    /// evicting the replaced epoch's CSR snapshot. With a store attached
-    /// the upload is durably committed as its own epoch (best-effort: a
-    /// commit failure marks the store dead and surfaces as
-    /// [`ChainError::CommitFailed`] on the next mutating chain).
+    /// Replaces the session graph, retiring the replaced one from the
+    /// per-version caches. With a store attached the upload is durably
+    /// committed as its own epoch (best-effort: a commit failure marks the
+    /// store dead and surfaces as [`ChainError::CommitFailed`] on the next
+    /// mutating chain).
     pub fn set_graph(&mut self, graph: Graph) {
-        self.install_graph(Arc::new(graph));
+        self.replace_graph(Some(Arc::new(graph)));
         if let (Some(store), Some(g)) = (&self.store, &self.graph) {
             let _ = store.commit(g);
         }
@@ -380,7 +372,7 @@ impl ChatSession {
         let (store, opened) =
             GraphStore::open_or_create(path, &init).map_err(|e| SessionError::Store(e.to_string()))?;
         if let StoreOpened::Recovered(report) = opened {
-            self.install_graph(Arc::new(store.graph()));
+            self.replace_graph(Some(Arc::new(store.graph())));
             self.pending_recovery = Some(report);
         }
         self.attach_store(Arc::new(store));
@@ -436,24 +428,22 @@ impl ChatSession {
     }
 
     /// Removes and returns the session graph (cloning only if it is still
-    /// shared elsewhere), advancing the mutation epoch.
+    /// shared elsewhere), retiring it from the per-version caches.
     pub fn take_graph(&mut self) -> Option<Graph> {
-        let old = self.graph.take()?;
-        self.graph_epoch += 1;
-        self.csr_cache.invalidate(&old);
+        let old = self.replace_graph(None)?;
         Some(Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone()))
     }
 
-    /// Installs `graph` as the current epoch: bumps the epoch counter and
-    /// evicts the dead epoch's snapshot from the (possibly shared) CSR
-    /// cache. Always a fresh `Arc`, so pointer-keyed caches can never serve
-    /// kernels off the replaced graph.
-    fn install_graph(&mut self, graph: Arc<Graph>) {
-        if let Some(old) = self.graph.take() {
-            self.csr_cache.invalidate(&old);
-        }
-        self.graph_epoch += 1;
-        self.graph = Some(graph);
+    /// The one retirement rule: swaps the session graph and evicts the
+    /// replaced version from every per-version cache (CSR snapshots and
+    /// statistics catalogs, either possibly shared), so a dead version
+    /// pins no memory. A new graph is always a fresh `Arc`, so
+    /// pointer-keyed caches never serve it data derived from the old one.
+    fn replace_graph(&mut self, graph: Option<Arc<Graph>>) -> Option<Arc<Graph>> {
+        let old = std::mem::replace(&mut self.graph, graph)?;
+        self.csr_cache.invalidate(&old);
+        self.catalog_cache.invalidate(&old);
+        Some(old)
     }
 
     /// Attaches a molecule database for similarity search.
@@ -470,9 +460,9 @@ impl ChatSession {
 
     /// Routes this session's CSR snapshots through a shared
     /// (server-global) cache. Entries are keyed by `Arc` pointer identity,
-    /// and every replacement/mutation allocates a fresh `Arc` and evicts
-    /// the dead epoch, so tenants cannot observe each other's snapshots as
-    /// their own.
+    /// and every replacement/mutation allocates a fresh `Arc` and retires
+    /// the replaced one, so tenants cannot observe each other's snapshots
+    /// as their own.
     pub fn use_shared_csr(&mut self, cache: Arc<CsrCache>) {
         self.csr_cache = cache;
     }
@@ -537,9 +527,9 @@ impl ChatSession {
     pub fn send(&mut self, prompt: Prompt) -> ChatResponse {
         self.transcript.push(Turn::User(prompt.text.clone()));
         if let Some(g) = prompt.graph {
-            // A new upload is a new mutation epoch: fresh `Arc`, bumped
-            // counter, dead snapshot evicted — pointer-keyed caches must
-            // not keep serving the replaced graph.
+            // A new upload is a new graph version: fresh `Arc`, replaced
+            // version retired — pointer-keyed caches must not keep serving
+            // (or pinning) the replaced graph.
             self.set_graph(g);
         }
         let graph_type = self
@@ -629,13 +619,13 @@ impl ChatSession {
             .execute(&self.core.registry, chain, &mut ctx, monitor);
         // Persist mutations (scenario 3 cleans the session graph in place),
         // even when the chain failed part-way: completed edits happened.
-        // Copy-on-write means a mutated graph is a new `Arc` — a new epoch.
+        // Copy-on-write means a mutated graph is a new `Arc` — a new version.
         let after = Arc::clone(&ctx.graph);
         drop(ctx);
         if Arc::ptr_eq(&before, &after) {
             self.graph = Some(after);
         } else {
-            self.install_graph(after);
+            self.replace_graph(Some(after));
         }
         if let Ok(value) = &result {
             self.transcript
@@ -776,7 +766,6 @@ mod tests {
     #[test]
     fn store_backed_session_replays_bit_identical_chain_results() {
         use chatgraph_graph::generators::{corrupt_kg, knowledge_graph, KgParams};
-        use chatgraph_store::graph_fp;
 
         let path = std::env::temp_dir().join(format!(
             "chatgraph-session-diff-{}.cgdb",
@@ -794,7 +783,7 @@ mod tests {
             s.set_graph(g0.clone());
             let v1 = s.run_chain(&mutating, &mut CollectingMonitor::new()).unwrap();
             let v2 = s.run_chain(&readonly, &mut CollectingMonitor::new()).unwrap();
-            (v1, v2, graph_fp(s.graph().unwrap()))
+            (v1, v2, s.graph().unwrap().fingerprint())
         });
 
         // Store-backed run of the identical mutating chain, checkpointed
@@ -805,7 +794,7 @@ mod tests {
             let v1 = s.run_chain(&mutating, &mut CollectingMonitor::new()).unwrap();
             s.persist_model().unwrap();
             s.checkpoint_store().unwrap();
-            (v1, graph_fp(s.graph().unwrap()), s.config().clone())
+            (v1, s.graph().unwrap().fingerprint(), s.config().clone())
         });
         assert_eq!(mem_v1, store_v1, "store-backed chain diverged from in-memory");
         assert_eq!(mem_fp, store_fp, "graphs diverged after the mutating chain");
@@ -814,7 +803,7 @@ mod tests {
         // follow-up chain bit-identically to the in-memory one.
         let (mut restored, report) = ChatSession::from_store(config, &path).unwrap();
         assert_eq!(report.tail_dropped, 0);
-        assert_eq!(graph_fp(restored.graph().unwrap()), mem_fp);
+        assert_eq!(restored.graph().unwrap().fingerprint(), mem_fp);
         let v2 = restored
             .run_chain(&readonly, &mut CollectingMonitor::new())
             .unwrap();
@@ -822,22 +811,29 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A replaced graph version — by upload or by a mutating chain — is
+    /// retired from every per-version cache: nothing but the caller's own
+    /// handle may keep it alive afterwards.
     #[test]
-    fn graph_replacement_advances_epoch() {
+    fn replaced_graphs_are_retired_from_every_cache() {
+        use chatgraph_graph::generators::{corrupt_kg, knowledge_graph, KgParams};
         with_session(|s| {
-            let e0 = s.graph_epoch();
-            s.send(Prompt::with_graph(
-                "how big is G?",
-                social_network(&SocialParams::default(), 3),
-            ));
-            let e1 = s.graph_epoch();
-            assert!(e1 > e0, "upload must advance the epoch");
-            // Re-uploading (even an identical graph) is a replacement too.
-            s.send(Prompt::with_graph(
-                "how big is G?",
-                social_network(&SocialParams::default(), 3),
-            ));
-            assert!(s.graph_epoch() > e1, "re-upload must advance the epoch");
+            let analytics = ApiChain::from_names(["largest_component", "node_count"]);
+            s.set_graph(social_network(&SocialParams::default(), 3));
+            // Warm the CSR snapshot and the statistics catalog of this version.
+            s.run_chain(&analytics, &mut CollectingMonitor::new()).unwrap();
+            let old = Arc::clone(s.graph_arc().unwrap());
+            let mut kg = knowledge_graph(&KgParams::default(), 8);
+            corrupt_kg(&mut kg, 0.1, 0.05, 8);
+            s.set_graph(kg);
+            assert_eq!(Arc::strong_count(&old), 1, "a cache still holds the uploaded-over graph");
+
+            s.run_chain(&analytics, &mut CollectingMonitor::new()).unwrap();
+            let old = Arc::clone(s.graph_arc().unwrap());
+            let edit = ApiChain::from_names(["detect_missing_edges", "add_edges"]);
+            s.run_chain(&edit, &mut CollectingMonitor::new()).unwrap();
+            assert!(!Arc::ptr_eq(&old, s.graph_arc().unwrap()), "the chain must mutate");
+            assert_eq!(Arc::strong_count(&old), 1, "a cache still holds the pre-edit graph");
         });
     }
 

@@ -30,19 +30,16 @@
 //! the dense remap cannot absorb (node removal) always decline.
 //!
 //! A snapshot is built once per *mutation epoch* and cached in
-//! [`CsrCache`]. The executor holds graphs behind copy-on-write
-//! `Arc<Graph>`: any mutation goes through `Arc::make_mut`, which clones the
-//! graph into a fresh allocation whenever a snapshot (or the cache) still
-//! holds a reference. Keying the cache by `Arc` pointer identity while
-//! retaining the `Arc` therefore *is* the epoch rule — a hit proves the
-//! bytes are unchanged since the snapshot was built, equivalently to the
-//! scheduler's per-epoch graph fingerprint (DESIGN.md §10). On a miss the
-//! cache first tries `build_delta` against each resident entry (the cache
-//! retains each entry's `Arc<Graph>`, so the pre-edit graph is still
-//! readable), and only then pays for a full rebuild.
+//! [`CsrCache`], keyed by `Arc<Graph>` pointer identity under the same
+//! retirement rule as the statistics catalogs (the crate-private
+//! `version_cache` module). On a miss the cache first tries `build_delta`
+//! against each resident entry (the cache retains each entry's
+//! `Arc<Graph>`, so the pre-edit graph is still readable), and only then
+//! pays for a full rebuild.
 
 use crate::graph::{EdgeId, Graph, NodeId, StructEdit};
-use std::sync::{Arc, Mutex};
+use crate::version_cache::VersionCache;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Dense id of a live node inside a [`CsrGraph`].
@@ -672,33 +669,15 @@ pub struct CsrBuild {
     pub delta: bool,
 }
 
-struct CacheEntry {
-    graph: Arc<Graph>,
-    csr: Arc<CsrGraph>,
-}
-
-struct CacheInner {
-    entries: Vec<CacheEntry>,
-    capacity: usize,
-    builds: Vec<CsrBuild>,
-    hits: u64,
-    misses: u64,
-}
-
-/// An epoch cache of CSR snapshots, keyed by `Arc<Graph>` identity.
-///
-/// Entries retain their `Arc<Graph>`, so a pointer match guarantees the
-/// graph content is unchanged (copy-on-write mutation allocates a new
-/// `Arc`); see the module docs for why this is the epoch-invalidation rule.
-/// The cache is small and most-recently-used-first: one entry per graph
-/// epoch alive in a chain, plus headroom for database graphs. A miss first
-/// tries [`CsrGraph::build_delta`] against each resident entry (most
-/// recent first) — the common "small edit, new epoch" case then costs a
-/// row splice instead of a full rebuild, transparently to every holder of
-/// the cache, including the cross-session shared cache.
-pub struct CsrCache {
-    inner: Mutex<CacheInner>,
-}
+/// An epoch cache of CSR snapshots, keyed by `Arc<Graph>` identity (see
+/// the module docs). The cache is small and most-recently-used-first: one
+/// entry per graph epoch alive in a chain, plus headroom for database
+/// graphs. A miss first tries [`CsrGraph::build_delta`] against each
+/// resident entry (most recent first) — the common "small edit, new epoch"
+/// case then costs a row splice instead of a full rebuild, transparently
+/// to every holder of the cache, including the cross-session shared cache.
+#[derive(Debug)]
+pub struct CsrCache(VersionCache<CsrGraph>);
 
 impl Default for CsrCache {
     fn default() -> Self {
@@ -709,67 +688,37 @@ impl Default for CsrCache {
 impl CsrCache {
     /// Creates a cache holding up to `capacity` snapshots (minimum 1).
     pub fn new(capacity: usize) -> CsrCache {
-        CsrCache {
-            inner: Mutex::new(CacheInner {
-                entries: Vec::new(),
-                capacity: capacity.max(1),
-                builds: Vec::new(),
-                hits: 0,
-                misses: 0,
-            }),
-        }
+        CsrCache(VersionCache::new(capacity))
     }
 
-    /// Returns the snapshot for `g`, building (and recording) it on a miss.
+    /// Returns the snapshot for `g`, building it on a miss.
     pub fn get_or_build(&self, g: &Arc<Graph>) -> Arc<CsrGraph> {
-        let (csr, built) = self.get_or_build_tracked(g);
-        if let Some(b) = built {
-            // lockdoc: recover(cache holders never leave entries half-written; see get_or_build_tracked)
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.builds.push(b);
-        }
-        csr
+        self.get_or_build_tracked(g).0
     }
 
-    /// Like [`CsrCache::get_or_build`], but hands the build record back to
-    /// the caller instead of accumulating it in the cache. A cache shared
-    /// across sessions uses this so each session logs (and drains) only its
-    /// own builds — monitoring events must not leak across tenants, and an
-    /// undrained global log must not grow without bound.
+    /// Like [`CsrCache::get_or_build`], but also hands back the build
+    /// record when this call built the snapshot. A cache shared across
+    /// sessions keeps no log of its own, so each session logs (and drains)
+    /// only its own builds — monitoring events must not leak across
+    /// tenants.
     pub fn get_or_build_tracked(&self, g: &Arc<Graph>) -> (Arc<CsrGraph>, Option<CsrBuild>) {
-        // lockdoc: recover(entries are whole CacheEntry values inserted in one call; a panicked holder cannot leave one torn, and counters are advisory)
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(pos) = inner.entries.iter().position(|e| Arc::ptr_eq(&e.graph, g)) {
-            inner.hits += 1;
-            let entry = inner.entries.remove(pos);
-            let csr = Arc::clone(&entry.csr);
-            inner.entries.insert(0, entry);
-            return (csr, None);
-        }
-        inner.misses += 1;
-        let started = Instant::now();
-        let spliced = inner
-            .entries
-            .iter()
-            .find_map(|e| CsrGraph::build_delta(&e.graph, &e.csr, g));
-        let delta = spliced.is_some();
-        let csr = Arc::new(match spliced {
-            Some(csr) => csr,
-            None => CsrGraph::build(g),
+        let mut build = None;
+        let csr = self.0.get_or_build(g, |resident| {
+            let started = Instant::now();
+            let spliced = resident
+                .iter()
+                .find_map(|e| CsrGraph::build_delta(&e.graph, &e.value, g));
+            let delta = spliced.is_some();
+            let csr = spliced.unwrap_or_else(|| CsrGraph::build(g));
+            build = Some(CsrBuild {
+                nodes: csr.n(),
+                edges: csr.m(),
+                micros: started.elapsed().as_micros() as u64,
+                delta,
+            });
+            csr
         });
-        let build = CsrBuild {
-            nodes: csr.n(),
-            edges: csr.m(),
-            micros: started.elapsed().as_micros() as u64,
-            delta,
-        };
-        inner.entries.insert(
-            0,
-            CacheEntry { graph: Arc::clone(g), csr: Arc::clone(&csr) },
-        );
-        let cap = inner.capacity;
-        inner.entries.truncate(cap);
-        (csr, Some(build))
+        (csr, build)
     }
 
     /// Drops the snapshot cached for `g` (pointer identity), returning
@@ -779,22 +728,12 @@ impl CsrCache {
     /// snapshot in memory until capacity pushes them out — unacceptable in
     /// a shared, long-lived cache.
     pub fn invalidate(&self, g: &Arc<Graph>) -> bool {
-        // lockdoc: recover(removing a dead epoch from a structurally valid cache is safe after poison)
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match inner.entries.iter().position(|e| Arc::ptr_eq(&e.graph, g)) {
-            Some(pos) => {
-                inner.entries.remove(pos);
-                true
-            }
-            None => false,
-        }
+        self.0.invalidate(g)
     }
 
     /// Number of snapshots currently cached.
     pub fn len(&self) -> usize {
-        // lockdoc: recover(read-only observation of a structurally valid cache)
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.entries.len()
+        self.0.len()
     }
 
     /// Whether the cache holds no snapshots.
@@ -802,25 +741,9 @@ impl CsrCache {
         self.len() == 0
     }
 
-    /// Drains the build records accumulated since the last drain.
-    pub fn drain_builds(&self) -> Vec<CsrBuild> {
-        // lockdoc: recover(draining a possibly-short build log after a panic loses only metrics)
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut inner.builds)
-    }
-
     /// `(hits, misses)` counters since construction.
     pub fn stats(&self) -> (u64, u64) {
-        // lockdoc: recover(read-only observation of advisory counters)
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        (inner.hits, inner.misses)
-    }
-}
-
-impl std::fmt::Debug for CsrCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.stats();
-        f.debug_struct("CsrCache").field("hits", &hits).field("misses", &misses).finish()
+        self.0.stats()
     }
 }
 
@@ -994,7 +917,6 @@ mod tests {
         let again = cache.get_or_build(&g);
         assert!(Arc::ptr_eq(&first, &again), "same epoch: cached snapshot");
         assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.drain_builds().len(), 1);
 
         // Copy-on-write mutation: the cache pins the old Arc, so make_mut
         // clones → new pointer → new epoch → rebuild (here: a delta build).
@@ -1003,7 +925,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &rebuilt));
         assert_eq!(rebuilt.n(), 3);
         assert_eq!(*rebuilt, CsrGraph::build(&g));
-        assert_eq!(cache.drain_builds().len(), 1, "one new build since drain");
+        assert_eq!(cache.stats(), (1, 2), "one new build after the mutation");
     }
 
     #[test]

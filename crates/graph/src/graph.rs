@@ -778,6 +778,15 @@ impl Graph {
             .map(|(k, v)| (k.to_owned(), v))
             .collect()
     }
+
+    /// The graph's content fingerprint: FNV-1a 64 over its slot-exact image
+    /// ([`crate::delta::image_to_bytes`]). Tombstones are part of the image,
+    /// so a graph with removed nodes and its [`Graph::compact`]ion — whose
+    /// ids differ — fingerprint differently. Step-memo keys and the durable
+    /// store's `Commit` records both use this one definition.
+    pub fn fingerprint(&self) -> u64 {
+        chatgraph_support::hash::fnv1a64(&crate::delta::image_to_bytes(self))
+    }
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@ pub mod graph;
 pub mod io;
 pub mod kernels;
 pub mod stats;
+mod version_cache;
 
 pub use attr::{AttrValue, Attrs};
 pub use builder::GraphBuilder;

@@ -9,15 +9,15 @@
 //! (`chatgraph-apis::cost`) turns these into per-step work estimates; it
 //! never needs the graph itself.
 //!
-//! Catalogs are maintained *across mutation epochs* the same way CSR
-//! snapshots are: [`CatalogCache`] keys by `Arc<Graph>` pointer identity,
-//! which under copy-on-write mutation is exactly the epoch rule (see
-//! [`crate::csr`]) — a hit proves the statistics are still current, a
-//! mutation produces a new `Arc` and a fresh one-pass rebuild.
+//! [`CatalogCache`] keeps one catalog per mutation epoch under the same
+//! `Arc`-identity retirement rule as CSR snapshots: a hit proves the
+//! statistics are still current, a mutation produces a new `Arc` and a
+//! fresh one-pass rebuild.
 
 use crate::graph::Graph;
+use crate::version_cache::VersionCache;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One epoch's statistics: label/relation histograms plus degree moments.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,23 +108,11 @@ impl StatsCatalog {
     }
 }
 
-struct CatEntry {
-    graph: Arc<Graph>,
-    catalog: Arc<StatsCatalog>,
-}
-
-struct CatInner {
-    entries: Vec<CatEntry>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-}
-
 /// An epoch cache of [`StatsCatalog`]s, keyed by `Arc<Graph>` identity —
-/// the same most-recently-used-first epoch rule as [`crate::csr::CsrCache`].
-pub struct CatalogCache {
-    inner: Mutex<CatInner>,
-}
+/// the same retirement rule as [`crate::csr::CsrCache`], from the same
+/// crate-private `version_cache` module.
+#[derive(Debug)]
+pub struct CatalogCache(VersionCache<StatsCatalog>);
 
 impl Default for CatalogCache {
     fn default() -> Self {
@@ -135,50 +123,23 @@ impl Default for CatalogCache {
 impl CatalogCache {
     /// Creates a cache holding up to `capacity` catalogs (minimum 1).
     pub fn new(capacity: usize) -> CatalogCache {
-        CatalogCache {
-            inner: Mutex::new(CatInner {
-                entries: Vec::new(),
-                capacity: capacity.max(1),
-                hits: 0,
-                misses: 0,
-            }),
-        }
+        CatalogCache(VersionCache::new(capacity))
     }
 
     /// Returns the catalog for `g`'s epoch, building it on a miss.
     pub fn get_or_build(&self, g: &Arc<Graph>) -> Arc<StatsCatalog> {
-        // lockdoc: recover(entries are whole CatEntry values inserted in one call; a panicked holder cannot leave one torn, and counters are advisory)
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(pos) = inner.entries.iter().position(|e| Arc::ptr_eq(&e.graph, g)) {
-            inner.hits += 1;
-            let entry = inner.entries.remove(pos);
-            let catalog = Arc::clone(&entry.catalog);
-            inner.entries.insert(0, entry);
-            return catalog;
-        }
-        inner.misses += 1;
-        let catalog = Arc::new(StatsCatalog::build(g));
-        inner.entries.insert(
-            0,
-            CatEntry { graph: Arc::clone(g), catalog: Arc::clone(&catalog) },
-        );
-        let cap = inner.capacity;
-        inner.entries.truncate(cap);
-        catalog
+        self.0.get_or_build(g, |_| StatsCatalog::build(g))
+    }
+
+    /// Drops the catalog cached for `g` (pointer identity), returning
+    /// whether one was present — see [`crate::csr::CsrCache::invalidate`].
+    pub fn invalidate(&self, g: &Arc<Graph>) -> bool {
+        self.0.invalidate(g)
     }
 
     /// `(hits, misses)` counters since construction.
     pub fn stats(&self) -> (u64, u64) {
-        // lockdoc: recover(read-only observation of advisory counters)
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        (inner.hits, inner.misses)
-    }
-}
-
-impl std::fmt::Debug for CatalogCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.stats();
-        f.debug_struct("CatalogCache").field("hits", &hits).field("misses", &misses).finish()
+        self.0.stats()
     }
 }
 

@@ -33,10 +33,6 @@ pub use store::{
     CheckpointReport, CommitReceipt, GraphStore, RecoveryReport, StoreOpened, PAGE_SIZE,
 };
 
-use chatgraph_graph::delta::image_to_bytes;
-use chatgraph_graph::Graph;
-use chatgraph_support::hash::fnv1a64;
-
 /// What went wrong in a store operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
@@ -69,11 +65,3 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
-
-/// The store's graph fingerprint: FNV-1a 64 over the slot-exact image
-/// bytes. Slot-exact (rather than the densifying `binary::to_bytes`) so
-/// that a recovered graph reproduces chain results bit-identically — chain
-/// findings hold stable node/edge ids.
-pub fn graph_fp(g: &Graph) -> u64 {
-    fnv1a64(&image_to_bytes(g))
-}

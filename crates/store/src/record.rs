@@ -56,7 +56,8 @@ pub enum WalRecord {
     Commit {
         /// The store epoch this commit produces.
         epoch: u64,
-        /// FNV-1a 64 fingerprint of the committed graph's image bytes.
+        /// `Graph::fingerprint` of the committed graph (FNV-1a 64 over its
+        /// slot-exact image bytes).
         graph_fp: u64,
     },
     /// Newly interned catalog strings (staged).

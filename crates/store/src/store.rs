@@ -43,7 +43,7 @@
 use crate::catalog::{Catalog, CatalogDelta};
 use crate::crash::CrashPoint;
 use crate::record::{next_record, WalRecord};
-use crate::{graph_fp, StoreError};
+use crate::StoreError;
 use chatgraph_graph::delta::{image_from_bytes, image_to_bytes, GraphDelta};
 use chatgraph_graph::stats::StatsCatalog;
 use chatgraph_graph::Graph;
@@ -250,7 +250,7 @@ impl GraphStore {
                     };
                     // The fingerprint re-proves the replayed graph matches
                     // what the writer committed; epochs must strictly grow.
-                    if fp != graph_fp(&g) || e <= epoch {
+                    if fp != g.fingerprint() || e <= epoch {
                         break;
                     }
                     committed = Some(g);
@@ -361,7 +361,7 @@ impl GraphStore {
         }
         WalRecord::Stats { stats: stats.clone() }.encode(&mut buf);
         records += 1;
-        WalRecord::Commit { epoch, graph_fp: graph_fp(graph) }.encode(&mut buf);
+        WalRecord::Commit { epoch, graph_fp: graph.fingerprint() }.encode(&mut buf);
         records += 1;
 
         inner.append(&buf)?;
@@ -556,7 +556,7 @@ fn base_file_bytes(
         WalRecord::Catalog { delta: full }.encode(&mut out);
     }
     WalRecord::Stats { stats: stats.clone() }.encode(&mut out);
-    WalRecord::Commit { epoch, graph_fp: graph_fp(graph) }.encode(&mut out);
+    WalRecord::Commit { epoch, graph_fp: graph.fingerprint() }.encode(&mut out);
     if let Some(json) = model {
         WalRecord::Model { json: json.to_owned() }.encode(&mut out);
     }
@@ -694,6 +694,27 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
+    /// `Graph::fingerprint` is the function the `Commit` records already on
+    /// disk were sealed with: a pinned value for one fixed graph (labels,
+    /// an attribute, a tombstone) keeps files written by earlier releases
+    /// recoverable.
+    #[test]
+    fn fingerprint_matches_commits_sealed_by_earlier_releases() {
+        use chatgraph_graph::{AttrValue, GraphBuilder, NodeId};
+        let mut g = GraphBuilder::directed()
+            .name("pin")
+            .node("a", "Person")
+            .node("b", "Person")
+            .node("c", "City")
+            .edge("a", "b", "knows")
+            .edge("a", "c", "lives_in")
+            .edge("b", "c", "lives_in")
+            .build();
+        g.set_node_attr(NodeId(0), "age", AttrValue::Int(31)).unwrap();
+        g.remove_node(NodeId(1)).unwrap();
+        assert_eq!(g.fingerprint(), 0xcca7_e95a_80a2_0727);
+    }
+
     #[test]
     fn commits_replay_on_reopen_with_exact_fingerprints() {
         let path = temp_store("commits");
@@ -713,7 +734,7 @@ mod tests {
         assert_eq!(report.commits_replayed, 6);
         assert_eq!(report.tail_dropped, 0);
         assert_eq!(store.graph(), g);
-        assert_eq!(graph_fp(&store.graph()), graph_fp(&g));
+        assert_eq!(store.graph().fingerprint(), g.fingerprint());
         let _ = fs::remove_file(&path);
     }
 

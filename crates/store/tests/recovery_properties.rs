@@ -14,9 +14,7 @@
 //!    as the in-memory graph it mirrored.
 
 use chatgraph_graph::{AttrValue, Graph, NodeId};
-use chatgraph_store::{
-    graph_fp, CrashMode, CrashPoint, GraphStore, StoreOpened, PAGE_SIZE,
-};
+use chatgraph_store::{CrashMode, CrashPoint, GraphStore, StoreOpened, PAGE_SIZE};
 use chatgraph_support::prop::{check, Config};
 use chatgraph_support::rng::{RngExt, SeedableRng, StdRng};
 use chatgraph_support::{prop_assert, prop_assert_eq};
@@ -79,12 +77,12 @@ fn build_wal(path: &PathBuf, seed: u64, commits: usize) -> (Vec<EpochMark>, usiz
     // The base group (snapshot + catalog + stats + commit + pad) is at most
     // five records; recovery must never replay more than were written.
     let mut written = 5;
-    let mut marks = vec![(1u64, graph_fp(&g), store.file_bytes())];
+    let mut marks = vec![(1u64, g.fingerprint(), store.file_bytes())];
     for round in 0..commits {
         random_mutation(&mut g, &mut rng, round);
         let r = store.commit(&g).expect("commit");
         written += r.records;
-        marks.push((r.epoch, graph_fp(&g), r.wal_end));
+        marks.push((r.epoch, g.fingerprint(), r.wal_end));
     }
     (marks, written)
 }
@@ -147,7 +145,7 @@ fn truncation_at_every_byte_recovers_greatest_durable_commit() {
                     .unwrap_or_else(|e| panic!("open failed at truncation {len}: {e}"));
                 assert_eq!(report.epoch, epoch, "truncation to {len} bytes");
                 assert_eq!(store.epoch(), epoch, "truncation to {len} bytes");
-                let got = graph_fp(&store.graph());
+                let got = store.graph().fingerprint();
                 assert_eq!(got, fp, "truncation to {len} bytes recovered a wrong graph");
                 assert!(fps.contains(&got), "fingerprint outside the committed set");
                 // `end` ignores standalone-durable pad bytes, so the
@@ -188,7 +186,7 @@ fn bit_flip_at_every_wal_byte_recovers_a_committed_epoch() {
                 "flip at byte {byte} (past the base group) must stay recoverable"
             ),
             Ok((store, report)) => {
-                let got = graph_fp(&store.graph());
+                let got = store.graph().fingerprint();
                 assert!(
                     fps.contains(&got),
                     "flip at byte {byte} recovered a fingerprint outside the committed set"
@@ -244,11 +242,11 @@ fn armed_crash_points_recover_to_previous_epoch() {
             let (recovered, report) =
                 GraphStore::open(&path).map_err(|e| format!("recovery: {e}"))?;
             prop_assert_eq!(report.epoch, last_epoch);
-            prop_assert_eq!(graph_fp(&recovered.graph()), last_fp);
+            prop_assert_eq!(recovered.graph().fingerprint(), last_fp);
             // The store keeps working after recovery.
             let r = recovered.commit(&g).map_err(|e| format!("recommit: {e}"))?;
             prop_assert_eq!(r.epoch, last_epoch + 1);
-            prop_assert_eq!(graph_fp(&recovered.graph()), graph_fp(&g));
+            prop_assert_eq!(recovered.graph().fingerprint(), g.fingerprint());
             let _ = std::fs::remove_file(&path);
             Ok(())
         },
@@ -280,13 +278,13 @@ fn reopen_after_checkpoint_matches_in_memory_graph() {
             let (reopened, report) = GraphStore::open(&path).map_err(|e| e.to_string())?;
             prop_assert_eq!(report.epoch, epoch);
             prop_assert_eq!(report.tail_dropped, 0);
-            prop_assert_eq!(graph_fp(&reopened.graph()), graph_fp(&g));
+            prop_assert_eq!(reopened.graph().fingerprint(), g.fingerprint());
             // Post-checkpoint stores keep committing and recovering.
             random_mutation(&mut g, &mut rng, rounds);
             reopened.commit(&g).map_err(|e| e.to_string())?;
             drop(reopened);
             let (again, _) = GraphStore::open(&path).map_err(|e| e.to_string())?;
-            prop_assert_eq!(graph_fp(&again.graph()), graph_fp(&g));
+            prop_assert_eq!(again.graph().fingerprint(), g.fingerprint());
             let _ = std::fs::remove_file(&path);
             Ok(())
         },
